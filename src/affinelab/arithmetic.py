@@ -490,10 +490,16 @@ def _tokenize(text: str) -> "list[tuple[str, str]]":
     return tokens
 
 
+# Parentheses and unary signs each recurse once; past this depth a literal
+# is rejected before it can exhaust the interpreter's stack.
+_MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> "str | None":
         if self.pos < len(self.tokens):
@@ -532,13 +538,19 @@ class _Parser:
         return value
 
     def factor(self) -> ComplexValue:
+        if self.depth == _MAX_NESTING:
+            raise ParseError(f"literal nested deeper than {_MAX_NESTING} levels")
+        self.depth += 1
         if self.peek() == "op" and self.peek_text() == "-":
             self.take()
-            return -self.factor()
-        if self.peek() == "op" and self.peek_text() == "+":
+            value = -self.factor()
+        elif self.peek() == "op" and self.peek_text() == "+":
             self.take()
-            return self.factor()
-        return self.atom()
+            value = self.factor()
+        else:
+            value = self.atom()
+        self.depth -= 1
+        return value
 
     def atom(self) -> ComplexValue:
         kind = self.peek()

@@ -8,6 +8,7 @@ back unknown.
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -71,6 +72,8 @@ def _tangent(args):
 
 def _cmd_flow(args, config: CliConfig) -> int:
     v = _tangent(args)
+    if not math.isfinite(args.t):
+        raise UsageError(f"flow time must be finite, got {args.t!r}")
     interval = maximal_interval(v, config.tolerance)
     payload = {
         "defined": interval.contains(args.t),

@@ -27,69 +27,113 @@ RationalLike = Union[int, str, Fraction]
 # Evaluation point for the indeterminate: s = 2*pi*i.
 S_NUMERIC = complex(0.0, 2.0 * math.pi)
 
+_set = object.__setattr__
+_new = object.__new__
+
 
 class GaussianRational:
-    """A Gaussian rational a + b*i with Fraction components."""
+    """A Gaussian rational (a + b*i)/d stored as three integers.
 
-    __slots__ = ("re", "im")
+    The triple is canonical: d > 0 and gcd(a, b, d) == 1, so two values are
+    equal exactly when their triples are, and the hash is that of the
+    triple.  Each arithmetic operation works on the integers directly and
+    restores the canonical form with a single ``math.gcd``.  ``re`` and
+    ``im`` give the components as Fractions; instances are immutable.
+    """
+
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        re, im = Fraction(re), Fraction(im)
+        p, q = re.denominator, im.denominator
+        d = p * q // math.gcd(p, q)
+        # d is the lcm of the reduced denominators, so gcd(a, b, d) == 1
+        _set(self, "a", re.numerator * (d // p))
+        _set(self, "b", im.numerator * (d // q))
+        _set(self, "d", d)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("GaussianRational is immutable")
 
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
+
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self.a and not self.b
 
     def is_one(self) -> bool:
-        return self.re == 1 and not self.im
+        return self.a == self.d and not self.b
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _gr(self.a, -self.b, self.d)
 
     def norm(self) -> Fraction:
         """|a + bi|^2 as an exact rational."""
-        return self.re * self.re + self.im * self.im
+        return Fraction(self.a * self.a + self.b * self.b, self.d * self.d)
 
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        d, e = self.d, other.d
+        if d == e:
+            return _reduced(self.a + other.a, self.b + other.b, d)
+        return _reduced(self.a * e + other.a * d, self.b * e + other.b * d, d * e)
 
     def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        d, e = self.d, other.d
+        if d == e:
+            return _reduced(self.a - other.a, self.b - other.b, d)
+        return _reduced(self.a * e - other.a * d, self.b * e - other.b * d, d * e)
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        return _gr(-self.a, -self.b, self.d)
 
     def __mul__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, c, e = self.a, self.b, other.a, other.b
+        return _reduced(a * c - b * e, a * e + b * c, self.d * other.d)
 
     def __truediv__(self, other: "GaussianRational") -> "GaussianRational":
-        n = other.norm()
+        # (a + bi)/d / ((c + ei)/f) = (a + bi)(c - ei) f / (d (c^2 + e^2))
+        a, b, c, e, f = self.a, self.b, other.a, other.b, other.d
+        n = c * c + e * e
         if not n:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+        return _reduced((a * c + b * e) * f, (b * c - a * e) * f, self.d * n)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GaussianRational):
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self.a, self.b, self.d))
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        # int / int is correctly rounded, as float(Fraction) is
+        return complex(self.a / self.d, self.b / self.d)
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.re!r}, {self.im!r})"
+
+
+def _gr(a: int, b: int, d: int) -> GaussianRational:
+    """The Gaussian rational (a + b*i)/d from a triple already canonical."""
+    out = _new(GaussianRational)
+    _set(out, "a", a)
+    _set(out, "b", b)
+    _set(out, "d", d)
+    return out
+
+
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    """The Gaussian rational (a + b*i)/d for any d > 0, in canonical form."""
+    g = math.gcd(a, b, d)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    return _gr(a, b, d)
 
 
 GR_ZERO = GaussianRational(0)
@@ -108,10 +152,11 @@ P_ONE: Poly = (GR_ONE,)
 
 
 def p_trim(cs) -> Poly:
-    cs = list(cs)
-    while cs and cs[-1].is_zero():
-        cs.pop()
-    return tuple(cs)
+    cs = tuple(cs)
+    n = len(cs)
+    while n and cs[n - 1].is_zero():
+        n -= 1
+    return cs if n == len(cs) else cs[:n]
 
 
 def p_add(a: Poly, b: Poly) -> Poly:
@@ -202,6 +247,11 @@ class FieldElement:
     carry trailing zero coefficients; these are trimmed before reduction, so
     ``FieldElement((g, 0))`` and ``FieldElement((g,))`` are the same element.
     A denominator that is zero after trimming raises ``DomainError``.
+
+    The constructor cancels the polynomial gcd of numerator and denominator
+    and makes the denominator monic.  When either side is a nonzero
+    constant, the gcd is 1 and is not computed: only the monic scaling runs.
+    A constant element therefore always has denominator ``P_ONE``.
     """
 
     __slots__ = ("num", "den")
@@ -213,10 +263,12 @@ class FieldElement:
         if not num:
             den = P_ONE
         else:
-            g = p_gcd(num, den)
-            if len(g) > 1:
-                num = p_divmod(num, g)[0]
-                den = p_divmod(den, g)[0]
+            # a nonzero constant is coprime to every polynomial
+            if len(num) > 1 and len(den) > 1:
+                g = p_gcd(num, den)
+                if len(g) > 1:
+                    num = p_divmod(num, g)[0]
+                    den = p_divmod(den, g)[0]
             lead = den[-1]
             if not lead.is_one():
                 inv = GR_ONE / lead
@@ -257,11 +309,11 @@ class FieldElement:
             return None
         if not self.num:
             return GR_ZERO
-        return self.num[0] / self.den[0]
+        return self.num[0]  # the monic constant denominator is 1
 
     def is_rational_integer(self) -> bool:
         c = self.constant_value()
-        return c is not None and not c.im and c.re.denominator == 1
+        return c is not None and not c.b and c.d == 1
 
     def is_real(self) -> bool:
         return self == self.conjugate()
@@ -295,12 +347,10 @@ class FieldElement:
         return FieldElement(p_conj(self.num), p_conj(self.den))
 
     def real(self) -> "FieldElement":
-        half = FieldElement.from_rational(Fraction(1, 2))
-        return (self + self.conjugate()) * half
+        return (self + self.conjugate()) * _HALF
 
     def imag(self) -> "FieldElement":
-        half_over_i = FieldElement.from_rational(0, Fraction(-1, 2))  # 1/(2i)
-        return (self - self.conjugate()) * half_over_i
+        return (self - self.conjugate()) * _HALF_OVER_I
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FieldElement):
@@ -316,3 +366,7 @@ class FieldElement:
 
     def __repr__(self) -> str:
         return f"FieldElement({complex(self):.6g} ~ {self.num!r}/{self.den!r})"
+
+
+_HALF = FieldElement.from_rational(Fraction(1, 2))
+_HALF_OVER_I = FieldElement.from_rational(0, Fraction(-1, 2))  # 1/(2i)

@@ -78,6 +78,10 @@ def _direction(x) -> ComplexValue:
     return as_complex_value(x)
 
 
+_ONE = as_complex_value(1)
+_HALF_TURN = ComplexValue.two_pi_i() / 2  # pi*i, kept exact
+
+
 def _real_sign(x: ComplexValue) -> int:
     """Sign of a value known to be real."""
     f = x.as_real_fraction()
@@ -190,16 +194,22 @@ def flow(v: TangentVector, t, tol: Tolerance = DEFAULT_TOLERANCE) -> TangentVect
     unchanged (exactness preserved); any other time moves the point through
     the principal logarithm and lands on the approximate track.
     """
+    return _flow(v, t, tol, None)
+
+
+def _flow(v: TangentVector, t, tol, interval: "MaximalInterval | None") -> TangentVector:
+    """:func:`flow`, given the maximal interval of v or None to classify v here."""
     t = float(t)
     if not math.isfinite(t):
         raise UsageError(f"flow time must be finite, got {t!r}")
     if t == 0.0:
         return v
     tol = _tol(tol)
-    interval = maximal_interval(v, tol)
+    if interval is None:
+        interval = maximal_interval(v, tol)
     if not interval.contains(t):
         raise FlowUndefinedError(t, interval)
-    w = as_complex_value(1) + v.u * t
+    w = _ONE + v.u * t
     u_new = v.u / w
     z_new = v.surface.group.reduce(v.z + principal_log(w), tol)
     return TangentVector(v.surface, z_new, u_new)
@@ -222,11 +232,6 @@ def flow_complex(z: complex, u: complex, t: float) -> "tuple[complex, complex] |
 
 
 _SIDES = {"plus": 1, "minus": -1, 1: 1, -1: -1}
-
-
-def _half_turn() -> ComplexValue:
-    # pi*i, kept exact
-    return ComplexValue.two_pi_i() / 2
 
 
 def boundary_flow(
@@ -257,15 +262,15 @@ def boundary_flow(
 
     # snapped directions use their real part; exact ones are already real
     u = v.u if v.u.is_exact else ComplexValue.approx(v.u.re)
-    tau2 = -(as_complex_value(1) / u)
+    tau2 = -(_ONE / u)
     ratio = (-tau1) / tau2
-    if ratio.is_exact and ratio == as_complex_value(1):
+    if ratio.is_exact and ratio == _ONE:
         log_part = ComplexValue(0)
     else:
         log_part = principal_log(ratio)
-    z_new = v.z + log_part + _half_turn() * sign
+    z_new = v.z + log_part + _HALF_TURN * sign
     z_new = v.surface.group.reduce(z_new, tol)
-    u_new = -(as_complex_value(1) / tau1)
+    u_new = -(_ONE / tau1)
     return TangentVector(v.surface, z_new, u_new)
 
 
@@ -294,15 +299,15 @@ def boundary_flow_inverse(
         raise UsageError("source sheet parameter must be positive")
 
     u = v.u if v.u.is_exact else ComplexValue.approx(v.u.re)
-    tau1 = -(as_complex_value(1) / u)
+    tau1 = -(_ONE / u)
     ratio = (-tau1) / tau2
-    if ratio.is_exact and ratio == as_complex_value(1):
+    if ratio.is_exact and ratio == _ONE:
         log_part = ComplexValue(0)
     else:
         log_part = principal_log(ratio)
-    z_new = v.z - log_part - _half_turn() * sign
+    z_new = v.z - log_part - _HALF_TURN * sign
     z_new = v.surface.group.reduce(z_new, tol)
-    u_new = -(as_complex_value(1) / tau2)
+    u_new = -(_ONE / tau2)
     return TangentVector(v.surface, z_new, u_new)
 
 
@@ -337,7 +342,7 @@ def trajectory(
             f"window [{t0!r}, {t1!r}] does not meet the maximal interval {interval}"
         )
     step = (hi - lo) / (n - 1)
-    return [(lo + step * i, flow(v, lo + step * i, tol)) for i in range(n)]
+    return [(lo + step * i, _flow(v, lo + step * i, tol, interval)) for i in range(n)]
 
 
 # ---- closed geodesics ----

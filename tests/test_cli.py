@@ -71,6 +71,35 @@ class TestFlowCommand:
         assert out == ""
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "literal",
+        ["(" * 3000 + "1" + ")" * 3000, "-" * 3000 + "1"],
+        ids=["parentheses", "signs"],
+    )
+    def test_deeply_nested_literal_is_a_parse_error(self, capsys, literal):
+        code, out, err = run(
+            capsys, "flow", "plane", f"--z={literal}", "--u", "1", "--t", "1"
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: literal nested deeper than")
+
+    def test_moderately_nested_literal_parses(self, capsys):
+        code, payload, _ = run_json(
+            capsys, "flow", "plane", "--z", "(" * 50 + "0" + ")" * 50,
+            "--u", "1", "--t", "1",
+        )
+        assert code == 0
+        assert payload["z"]["re"] == pytest.approx(math.log(2), abs=1e-12)
+
+    @pytest.mark.parametrize("u", ["1", "1+i"])
+    @pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
+    def test_non_finite_time_is_an_error(self, capsys, u, t):
+        code, out, err = run(capsys, "flow", "plane", "--z", "0", "--u", u, f"--t={t}")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: flow time must be finite")
+
 
 class TestIntervalCommand:
     def test_regular_direction_full_line(self, capsys):

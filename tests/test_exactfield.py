@@ -223,3 +223,92 @@ def test_trailing_zero_coefficients_are_trimmed():
 
     with pytest.raises(DomainError):
         xf.FieldElement((gr(1),), (gr(0), gr(0)))
+
+
+# ---- differential test against sympy's Q(i)(s) ----
+
+
+@pytest.fixture(scope="module")
+def sympy_field():
+    """sympy's Q(i)(s), imported once outside the timed examples."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.fields import field
+
+    return field("s", sympy.QQ_I)[0]
+
+
+def _to_sympy(K, num, den):
+    """N(s)/D(s) in sympy's fraction field, from GaussianRational coefficients."""
+    ring, qq_i = K.ring, K.domain
+
+    def poly(cs):
+        return ring.from_dict(
+            {(k,): qq_i(c.re, c.im) for k, c in enumerate(cs) if not c.is_zero()}
+        )
+
+    return K(poly(num)) / K(poly(den))
+
+
+def _sympy_conjugate(K, f):
+    # conj(c) * (-1)^k on the s^k coefficient, as conj(s) = -s
+    ring, qq_i = K.ring, K.domain
+
+    def poly(p):
+        return ring.from_dict(
+            {m: qq_i(c.x, -c.y) * (-1) ** m[0] for m, c in p.terms()}
+        )
+
+    return K(poly(f.numer)) / K(poly(f.denom))
+
+
+def _sympy_canonical(f):
+    """(numerator, denominator) coefficient pairs, lowest degree first, with
+    the denominator made monic; sympy cancels the gcd but keeps the scale."""
+    lead = f.denom.LC
+
+    def coeffs(p):
+        p = p.quo_ground(lead)
+        terms = dict(p.terms())
+        n = p.degree() + 1 if p else 0
+        out = []
+        for k in range(n):
+            c = terms.get((k,), p.ring.domain.zero)
+            out.append((Fraction(int(c.x.numerator), int(c.x.denominator)),
+                        Fraction(int(c.y.numerator), int(c.y.denominator))))
+        return tuple(out)
+
+    return coeffs(f.numer), coeffs(f.denom)
+
+
+def _canonical(x):
+    return (tuple((c.re, c.im) for c in x.num), tuple((c.re, c.im) for c in x.den))
+
+
+small_polys = st.lists(gaussians, max_size=3).map(lambda cs: xf.p_trim(tuple(cs)))
+rational_functions = st.tuples(small_polys, small_polys.filter(bool))
+
+# the constant short cut in FieldElement: constant/constant, constant over
+# degree >= 1, degree >= 1 over constant, with non-monic denominators
+CONST = ((gr(3, -2),), (gr(0, 5),))
+CONST_OVER_LINEAR = ((gr(2),), (gr(1), gr(0, 2)))
+QUADRATIC_OVER_CONST = ((gr(1), gr(-1, 1), gr(2)), (gr(3, 1),))
+
+
+@given(rational_functions, rational_functions)
+@example(CONST, CONST)
+@example(CONST, CONST_OVER_LINEAR)
+@example(CONST_OVER_LINEAR, QUADRATIC_OVER_CONST)
+@example(QUADRATIC_OVER_CONST, CONST)
+@settings(max_examples=60)
+def test_field_ops_match_sympy_canonical_form(sympy_field, xp, yp):
+    K = sympy_field
+    x, y = xf.FieldElement(*xp), xf.FieldElement(*yp)
+    sx, sy = _to_sympy(K, *xp), _to_sympy(K, *yp)
+    assert _canonical(x) == _sympy_canonical(sx)
+    assert _canonical(y) == _sympy_canonical(sy)
+    assert _canonical(x + y) == _sympy_canonical(sx + sy)
+    assert _canonical(x - y) == _sympy_canonical(sx - sy)
+    assert _canonical(x * y) == _sympy_canonical(sx * sy)
+    assert _canonical(x.conjugate()) == _sympy_canonical(_sympy_conjugate(K, sx))
+    if not y.is_zero():
+        assert _canonical(x / y) == _sympy_canonical(sx / sy)
